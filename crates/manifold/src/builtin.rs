@@ -10,6 +10,7 @@
 //!   `IDLE` macro) therefore hangs a state until an event preempts it.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -22,10 +23,32 @@ use crate::unit::Unit;
 /// process's `input` port becomes its current value, which the owner may
 /// read back at any time (and which the process echoes to its `output` port
 /// for downstream consumers).
+///
+/// The paper declares `now` and `t` local to `Create_Worker_Pool`'s block,
+/// so the process lives exactly as long as the block: clones share one
+/// instance, and dropping the last clone kills the process and returns
+/// once it has terminated, its thread parked for reuse. A perpetual fleet
+/// therefore retains nothing per pool — no thread and, after
+/// [`Environment::reap`](crate::env::Environment::reap), no process core.
 #[derive(Clone)]
-pub struct Variable {
+pub struct Variable(Arc<VarInner>);
+
+struct VarInner {
     process: ProcessRef,
     cell: Arc<Mutex<Unit>>,
+}
+
+impl Drop for VarInner {
+    fn drop(&mut self) {
+        // The body is a kill-responsive read loop, so the wait is one
+        // wake-up. Waiting lets the next block's `variable`s reuse the
+        // thread (it parks before the termination notice) instead of
+        // racing its parking and spawning another. The bound only guards
+        // against a runtime that no longer runs the body at all.
+        let core = self.process.core();
+        core.kill();
+        let _ = core.wait_terminated(Duration::from_secs(5));
+    }
 }
 
 impl Variable {
@@ -43,17 +66,19 @@ impl Variable {
             }
         });
         coord.activate(&process)?;
-        Ok(Variable { process, cell })
+        Ok(Variable(Arc::new(VarInner { process, cell })))
     }
 
-    /// The underlying process (to connect streams to/from it).
+    /// The underlying process (to connect streams to/from it). The
+    /// reference outlives the handle, but the process does not: once the
+    /// last [`Variable`] clone is dropped it is killed.
     pub fn process(&self) -> &ProcessRef {
-        &self.process
+        &self.0.process
     }
 
     /// Current value.
     pub fn get(&self) -> Unit {
-        self.cell.lock().clone()
+        self.0.cell.lock().clone()
     }
 
     /// Convenience: current value as integer (0 if not an Int).
@@ -63,12 +88,12 @@ impl Variable {
 
     /// Set the value directly (coordinator-side assignment `now = now + 1`).
     pub fn set(&self, u: Unit) {
-        *self.cell.lock() = u;
+        *self.0.cell.lock() = u;
     }
 
     /// Increment an integer variable by `d` and return the new value.
     pub fn add(&self, d: i64) -> i64 {
-        let mut cell = self.cell.lock();
+        let mut cell = self.0.cell.lock();
         let v = cell.as_int().unwrap_or(0) + d;
         *cell = Unit::int(v);
         v
@@ -107,7 +132,6 @@ mod tests {
     use crate::env::Environment;
     use crate::process::LifeState;
     use crate::stream::StreamType;
-    use std::time::Duration;
 
     #[test]
     fn variable_counts_like_now_and_t() {
@@ -144,6 +168,54 @@ mod tests {
         })
         .unwrap();
         env.shutdown();
+    }
+
+    #[test]
+    fn last_variable_clone_dropped_kills_the_process() {
+        let env = Environment::new();
+        env.run_coordinator("Main", |coord| {
+            let v = Variable::spawn(coord, "v", Unit::int(0))?;
+            let p = v.process().clone();
+            let clone = v.clone();
+            drop(v);
+            // A live clone keeps the shared instance running.
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(p.life_state(), LifeState::Active);
+            assert_eq!(clone.add(1), 1);
+            // The last drop returns once the process has terminated.
+            drop(clone);
+            assert_eq!(p.life_state(), LifeState::Terminated);
+            assert!(p.core().failure().is_none(), "a kill is not a failure");
+            Ok(())
+        })
+        .unwrap();
+        env.shutdown();
+    }
+
+    #[test]
+    fn block_local_variables_end_with_their_block_under_both_executors() {
+        let src = "manner Main() {\n    auto process n is variable(0).\n    begin: n = n + 1.\n}\n";
+        let mc = crate::lang::Mc::from_source(src).unwrap();
+        for kind in crate::lang::CoordExec::ALL {
+            let env = Environment::new();
+            let parked_before = env.parked_threads();
+            env.run_manner(&mc, kind, "vars.m", "Main", |_| Ok(Vec::new()))
+                .unwrap();
+            // The block is gone, and so is `variable(n)`: the root
+            // coordinator terminated with `run_manner`, so a reap leaves
+            // the registry empty, and the variable's thread is parked.
+            env.reap();
+            assert_eq!(
+                env.live_processes(),
+                0,
+                "{kind:?}: variable(n) outlived its block"
+            );
+            assert!(
+                env.parked_threads() > parked_before,
+                "{kind:?}: no thread parked"
+            );
+            env.shutdown();
+        }
     }
 
     #[test]

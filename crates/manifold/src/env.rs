@@ -156,15 +156,13 @@ impl Environment {
         });
         core.set_life(LifeState::Active);
         let ctx = ProcessCtx::new(core.clone());
-        let job = move || {
-            let result = body.run(ctx);
-            match result {
-                Ok(()) | Err(MfError::Killed) => {}
-                Err(e) => core.record_failure(e),
-            }
-            core.terminate();
+        let core2 = core.clone();
+        let job = move || match body.run(ctx) {
+            Ok(()) | Err(MfError::Killed) => {}
+            Err(e) => core2.record_failure(e),
         };
-        if let Some(handle) = self.shared.pool.run(Box::new(job)) {
+        let finish = move || core.terminate();
+        if let Some(handle) = self.shared.pool.run(Box::new(job), Box::new(finish)) {
             self.shared.threads.lock().push(handle);
         }
         Ok(())
@@ -238,6 +236,7 @@ impl Environment {
         let core = self.make_coordinator_core(&name);
         let env = self.clone();
         let core2 = core.clone();
+        let core3 = core.clone();
         let job = move || {
             let mut coord = Coord::new(ProcessCtx::new(core2.clone()), env);
             let result = f(&mut coord);
@@ -246,9 +245,9 @@ impl Environment {
                     core2.record_failure(e);
                 }
             }
-            core2.terminate();
         };
-        if let Some(handle) = self.shared.pool.run(Box::new(job)) {
+        let finish = move || core3.terminate();
+        if let Some(handle) = self.shared.pool.run(Box::new(job), Box::new(finish)) {
             self.shared.threads.lock().push(handle);
         }
         ProcessRef::new(core)
@@ -328,6 +327,15 @@ impl Environment {
     /// benchmarks.
     pub fn parked_threads(&self) -> usize {
         self.shared.pool.parked()
+    }
+
+    /// Processes the registry holds: every created process stays there
+    /// from creation until the first [`Environment::reap`] after its
+    /// termination. On a perpetual environment that reaps once per job
+    /// this is the fleet's standing population; a count that grows with
+    /// the jobs served means a job leaves a process behind.
+    pub fn live_processes(&self) -> usize {
+        self.shared.processes.lock().len()
     }
 
     /// Errors recorded by failed process bodies (excluding clean kills).

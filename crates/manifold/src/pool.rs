@@ -4,8 +4,13 @@
 //! pool keeps their OS threads alive too. A thread whose process body has
 //! returned parks on a private channel instead of exiting, and the next
 //! [`activate`](crate::env::Environment::activate) hands it the new body
-//! rather than paying `thread::spawn` again — on a warm fleet a job can
-//! create zero threads.
+//! rather than paying `thread::spawn` again — on a warm fleet a job
+//! creates zero threads. The thread parks before its process's
+//! termination notice goes out, so an activation that follows the notice
+//! always finds it; together with block-local `variable`s ending with
+//! their block (`builtin::Variable`), this holds in practice:
+//! `renovation/tests/engine_footprint.rs` serves 200 warm jobs and sees
+//! the process's thread count unchanged from job 20 to job 200.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -16,8 +21,17 @@ use parking_lot::Mutex;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A process body and its last step (the termination notice). The thread
+/// parks between the two, so a process observed terminated has already
+/// handed its thread back: an activation that follows the notice reuses
+/// the thread instead of racing its parking and spawning another.
+struct Task {
+    body: Job,
+    finish: Job,
+}
+
 enum Msg {
-    Run(Job),
+    Run(Task),
     Exit,
 }
 
@@ -34,53 +48,60 @@ struct Shared {
 }
 
 impl ThreadPool {
-    /// Run `job` on a parked thread when one is available, else on a fresh
-    /// thread that parks itself when the job returns. Returns the new
-    /// thread's handle, or `None` when a parked thread was reused (its
-    /// handle is already tracked by the caller).
-    pub(crate) fn run(&self, job: Job) -> Option<JoinHandle<()>> {
-        let mut job = job;
+    /// Run `body` and then `finish` on a parked thread when one is
+    /// available, else on a fresh thread that parks itself when `body`
+    /// returns. Returns the new thread's handle, or `None` when a parked
+    /// thread was reused (its handle is already tracked by the caller).
+    pub(crate) fn run(&self, body: Job, finish: Job) -> Option<JoinHandle<()>> {
+        let mut task = Task { body, finish };
         loop {
             let parked = self.shared.idle.lock().pop();
             match parked {
-                Some(tx) => match tx.send(Msg::Run(job)) {
+                Some(tx) => match tx.send(Msg::Run(task)) {
                     Ok(()) => return None,
-                    // The thread is gone; take the job back and try the
+                    // The thread is gone; take the task back and try the
                     // next parked one.
                     Err(e) => {
-                        job = match e.0 {
-                            Msg::Run(j) => j,
+                        task = match e.0 {
+                            Msg::Run(t) => t,
                             Msg::Exit => unreachable!("pool only sends Run here"),
                         }
                     }
                 },
-                None => return Some(self.spawn(job)),
+                None => return Some(self.spawn(task)),
             }
         }
     }
 
-    fn spawn(&self, first: Job) -> JoinHandle<()> {
+    fn spawn(&self, first: Task) -> JoinHandle<()> {
         let shared = self.shared.clone();
         let n = self.shared.spawned.fetch_add(1, Ordering::Relaxed);
         std::thread::Builder::new()
             .name(format!("mf-pool-{n}"))
             .spawn(move || {
-                let mut job = first;
+                let mut task = first;
                 loop {
-                    job();
+                    (task.body)();
                     let (tx, rx) = channel();
-                    {
+                    let parked = {
                         // The flag is checked under the idle lock and set
                         // under the same lock in `drain`, so a thread can
                         // never park after the drain swept the list.
                         let mut idle = shared.idle.lock();
-                        if shared.draining.load(Ordering::Acquire) {
-                            return;
+                        let draining = shared.draining.load(Ordering::Acquire);
+                        if !draining {
+                            idle.push(tx);
                         }
-                        idle.push(tx);
+                        !draining
+                    };
+                    // Parked (or leaving) before the notice goes out; a
+                    // task sent meanwhile waits in the channel.
+                    (task.finish)();
+                    if !parked {
+                        return;
                     }
                     match rx.recv() {
-                        Ok(Msg::Run(next)) => job = next,
+                        Ok(Msg::Run(next)) => task = next,
                         Ok(Msg::Exit) | Err(_) => return,
                     }
                 }

@@ -247,15 +247,6 @@ impl TraceSink {
         std::mem::take(&mut *self.records.lock())
     }
 
-    /// Copy of the records from `offset` on (all of them when `offset` is
-    /// past the end — callers pair this with an earlier [`TraceSink::len`]).
-    /// A multi-job consumer reads each job's slice in O(job) instead of
-    /// cloning the whole history via [`TraceSink::snapshot`].
-    pub fn since(&self, offset: usize) -> Vec<TraceRecord> {
-        let records = self.records.lock();
-        records[offset.min(records.len())..].to_vec()
-    }
-
     /// Number of records so far.
     pub fn len(&self) -> usize {
         self.records.lock().len()

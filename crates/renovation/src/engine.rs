@@ -533,7 +533,7 @@ impl Engine {
         }
     }
 
-    fn master_config(&mut self, id: u64, cfg: &AppConfig) -> MfResult<(MasterConfig, PolicyRef)> {
+    fn master_config(&mut self, cfg: &AppConfig) -> MfResult<(MasterConfig, PolicyRef)> {
         let policy = cfg.policy.clone().unwrap_or_else(|| self.policy.clone());
         let mut mc = MasterConfig::new(cfg.app, cfg.data_through_master)
             .with_policy(policy.clone())
@@ -559,12 +559,11 @@ impl Engine {
                 mc = mc.with_master_kill_at(k);
             }
         }
-        let _ = id;
         Ok((mc, policy))
     }
 
     fn run_job(&mut self, id: u64, cfg: AppConfig) -> MfResult<JobReport> {
-        let (master_cfg, _policy) = self.master_config(id, &cfg)?;
+        let (master_cfg, _policy) = self.master_config(&cfg)?;
         match &mut self.state {
             BackendState::ThreadsFleet {
                 env,
@@ -676,7 +675,10 @@ fn run_live_job(
 ) -> MfResult<JobReport> {
     let started = Instant::now();
     gauge.reset_peak();
-    let trace_before = env.trace().len();
+    // The environment lives as long as the fleet but keeps no trace
+    // history: whatever arrived between jobs is discarded here, and the
+    // job's own records are taken (not copied) below.
+    env.trace().take();
     let cell: Arc<Mutex<Option<SequentialResult>>> = Arc::new(Mutex::new(None));
 
     let run = env.run_coordinator("Main", |coord| {
@@ -716,8 +718,8 @@ fn run_live_job(
     };
     let machines_used = env.with_bundler(|b| b.machines_in_use());
     // Only this job's slice: a warm fleet must not pay O(fleet history)
-    // per submit.
-    let records = env.trace().since(trace_before);
+    // per submit, in time or in memory.
+    let records = env.trace().take();
     if let Some((pid, err)) = env.reap().into_iter().next() {
         return Err(MfError::App(format!("process {pid:?} failed: {err}")));
     }

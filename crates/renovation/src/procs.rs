@@ -347,7 +347,7 @@ pub fn run_worker_child(
                 // does — no reply, no cleanup, connection just drops.
                 std::process::exit(42);
             }
-            solve_one(&env_for_jobs, job).map_err(|e| e.to_string())
+            serve_job(&env_for_jobs, job)
         },
         || {
             let mut records = env.trace().snapshot();
@@ -359,6 +359,15 @@ pub fn run_worker_child(
     )?;
     env.shutdown();
     Ok(summary)
+}
+
+/// One job of the child's serve loop: solve it, then reap the job's dead
+/// `ChildMain` coordinator and worker core, so the registry of a child
+/// serving for hours holds no per-job state.
+fn serve_job(env: &Environment, job: Unit) -> Result<Unit, String> {
+    let out = solve_one(env, job).map_err(|e| e.to_string());
+    env.reap();
+    out
 }
 
 /// Run one job through the real Worker manifold: create the worker
@@ -425,6 +434,32 @@ mod tests {
         let res = result_from_unit(&out).unwrap();
         let direct = solver::subsolve(&req).unwrap();
         assert_eq!(res.values, direct.values);
+        env.shutdown();
+    }
+
+    #[test]
+    fn serve_job_reaps_every_job_it_serves() {
+        use crate::codec::{request_to_unit, result_from_unit};
+        use solver::problem::Problem;
+        use solver::subsolve::SubsolveRequest;
+
+        let env = Environment::new();
+        let req = SubsolveRequest::for_grid(2, 1, 1, 1e-3, Problem::manufactured_benchmark());
+        let direct = solver::subsolve(&req).unwrap();
+        for i in 0..60 {
+            // A failed job must be reaped too.
+            if i % 10 == 9 {
+                assert!(serve_job(&env, Unit::text("not a job")).is_err());
+                continue;
+            }
+            let out = serve_job(&env, request_to_unit(&req)).unwrap();
+            assert_eq!(result_from_unit(&out).unwrap().values, direct.values);
+        }
+        assert_eq!(
+            env.live_processes(),
+            0,
+            "a served job left its coordinator or worker in the registry"
+        );
         env.shutdown();
     }
 
